@@ -231,41 +231,38 @@ BENCHMARK(BM_TransientStdCell)
     ->Arg(static_cast<int>(cells::CellType::kXor2))
     ->Unit(benchmark::kMillisecond);
 
-// Monte-Carlo variability of one cell: arg 0 selects the scheduling
-// engine (0 = per-sample reference, 1 = lane-packed corner_transient with
-// one sample per SIMD lane).  Both engines draw the same Rng streams, so
-// they simulate identical circuits; the ratio of the two rows is the
-// cross-instance lane-packing speedup.
+// Monte-Carlo variability of one cell (8 samples of XOR2X1, MIV 2-channel):
+// arg 0 is the number of workers the samples fan out over (1 = serial), so
+// the ratio of the two rows is the fan-out speedup.  Statistics are
+// bit-identical for any worker count.
 void BM_VariabilityBatch(benchmark::State& state) {
   const auto& lib = core::reference_model_library();
   core::VariationSpec spec;
   spec.samples = 8;
-  spec.engine = state.range(0) == 0 ? core::VariabilityEngine::kPerSample
-                                    : core::VariabilityEngine::kLanePacked;
   core::PpaOptions ppa_opts;
   ppa_opts.newton = bench_newton();
+  runtime::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  runtime::ExecPolicy exec;
+  exec.pool = pool.size() > 1 ? &pool : nullptr;
   runtime::Metrics::global().reset();
-  std::size_t lockstep = 0;
   for (auto _ : state) {
     const core::VariabilityStats stats = core::run_variability(
         lib, cells::CellType::kXor2, cells::Implementation::kMiv2Channel,
-        spec, ppa_opts);
-    lockstep = stats.lockstep_groups;
+        spec, ppa_opts, exec);
     benchmark::DoNotOptimize(stats.mean_delay);
   }
   const runtime::Metrics& m = runtime::Metrics::global();
   const double runs =
       std::max<double>(1.0, static_cast<double>(state.iterations()));
   state.counters["samples"] = static_cast<double>(spec.samples);
-  state.counters["lockstep_groups"] = static_cast<double>(lockstep);
-  state.counters["corner_lanes"] =
-      m.counter_total("spice.corner.lanes") / runs;
+  state.counters["workers"] = static_cast<double>(pool.size());
   state.counters["dev_eval"] = m.counter_total("spice.device.evals") / runs;
 }
 BENCHMARK(BM_VariabilityBatch)
-    ->Arg(0)
     ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Large generated circuits: the direct-vs-iterative crossover benches CI
 // gates on.  Argument 1 selects the linear-solve method (0 = pinned direct

@@ -1,13 +1,12 @@
 // Structure-of-arrays batch evaluation of BSIMSOI MOSFET instances.
 //
 // DeviceBatch holds the bind-time parameter SoA for a fixed set of device
-// instances (an instance is a device in one circuit; cross-corner packing
-// binds device x corner so corner lanes of the same device sit adjacent
-// and pack into one SIMD block).  Per Newton iteration the caller stages
-// the instances whose terminal voltages actually changed, calls eval()
-// once, and reads back per-instance ModelOutput identical in meaning to
-// bsimsoi::eval — the assembly loop then scatters them through the cached
-// AssemblyPlan exactly as before.
+// instances (an instance is one MOSFET of a circuit, in element order).
+// Per Newton iteration the caller stages the instances whose terminal
+// voltages actually changed, calls eval() once, and reads back
+// per-instance ModelOutput identical in meaning to bsimsoi::eval — the
+// assembly loop then scatters them through the cached AssemblyPlan
+// exactly as before.
 //
 // All storage is sized at bind(); staging and eval are allocation-free,
 // preserving the steady-state zero-allocation contract of the transient

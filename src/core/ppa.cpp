@@ -96,6 +96,15 @@ void apply_pin_stimulus(cells::CellNetlist& cell,
   }
 }
 
+namespace {
+
+// Arc delays and average VDD-rail power extracted from one pin-probe
+// transient (`pin_name` is the un-normalized input pin name).
+struct PinWaveMeasurement {
+  std::vector<ArcMeasurement> arcs;
+  double power = 0.0;
+};
+
 PinWaveMeasurement measure_pin_waveforms(const spice::TransientResult& tr,
                                          const cells::CellNetlist& cell,
                                          const std::string& pin_name,
@@ -121,6 +130,8 @@ PinWaveMeasurement measure_pin_waveforms(const spice::TransientResult& tr,
       -opts.vdd * tr.i(cell.vdd_source).average(0.0, pin_probe_t_stop(opts));
   return out;
 }
+
+}  // namespace
 
 PpaEngine::PinOutcome PpaEngine::measure_pin(
     cells::CellType type, cells::Implementation impl,

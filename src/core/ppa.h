@@ -60,9 +60,9 @@ struct PpaOptions {
   bool lint = true;
 };
 
-// Pin-probe primitives shared by PpaEngine::measure_pin and the
-// lane-packed variability engine (core/variability.h), which packs one
-// Monte-Carlo sample per SIMD lane over the same per-pin transient.
+// Pin-probe primitives shared by PpaEngine::measure_pin and the NLDM
+// characterizer (charlib/characterize.h), which runs the same per-pin
+// transient at each grid point.
 
 // Total simulated time of one pin probe (pulse up, pulse down, recovery).
 double pin_probe_t_stop(const PpaOptions& opts);
@@ -73,17 +73,6 @@ void apply_pin_stimulus(cells::CellNetlist& cell,
                         const std::vector<std::string>& input_names,
                         std::size_t pin, const std::vector<bool>& side,
                         const PpaOptions& opts);
-
-// Arc delays and average VDD-rail power extracted from one pin-probe
-// transient (`pin_name` is the un-normalized input pin name).
-struct PinWaveMeasurement {
-  std::vector<ArcMeasurement> arcs;
-  double power = 0.0;
-};
-PinWaveMeasurement measure_pin_waveforms(const spice::TransientResult& tr,
-                                         const cells::CellNetlist& cell,
-                                         const std::string& pin_name,
-                                         const PpaOptions& opts);
 
 class PpaEngine {
  public:

@@ -5,11 +5,9 @@
 #include <utility>
 
 #include "common/error.h"
-#include "common/log.h"
 #include "common/rng.h"
 #include "runtime/metrics.h"
 #include "runtime/thread_pool.h"
-#include "spice/corner.h"
 #include "trace/trace.h"
 
 namespace mivtx::core {
@@ -45,8 +43,7 @@ ModelLibrary sample_library(const ModelLibrary& library, double dvth,
   return sampled;
 }
 
-// Reference engine: one full PpaEngine measurement per sample, fanned out
-// over the pool.
+// One full PpaEngine measurement per sample, fanned out over the pool.
 std::vector<std::optional<SampleResult>> run_per_sample(
     const ModelLibrary& library, cells::CellType type,
     cells::Implementation impl, const VariationSpec& spec,
@@ -76,103 +73,6 @@ std::vector<std::optional<SampleResult>> run_per_sample(
       });
 }
 
-// Lane-packed engine: every pin probe runs all samples as ONE lockstepped
-// corner transient (spice::corner_transient), one Monte-Carlo sample per
-// SIMD lane of the batched BSIMSOI kernel.  The RNG streams are the same
-// counter-based splits as run_per_sample, so both engines simulate
-// identical sampled circuits.
-std::vector<std::optional<SampleResult>> run_lane_packed(
-    const ModelLibrary& library, cells::CellType type,
-    cells::Implementation impl, const VariationSpec& spec,
-    const PpaOptions& ppa_opts, const Rng& base,
-    std::size_t& lockstep_groups) {
-  const std::size_t num_samples = spec.samples;
-  const auto input_names = cells::cell_input_names(type);
-
-  std::vector<cells::ModelSet> sets;
-  sets.reserve(num_samples);
-  for (std::size_t s = 0; s < num_samples; ++s) {
-    Rng rng = base.split(s);
-    const double dvth = rng.normal(0.0, spec.sigma_vth);
-    const double u0s = std::exp(rng.normal(0.0, spec.sigma_u0_rel));
-    const ModelLibrary sampled = sample_library(library, dvth, u0s);
-    // Cheap throwaway engine purely for the variant -> card mapping;
-    // ModelSet copies the cards out of the sampled library.
-    sets.push_back(PpaEngine(sampled, ppa_opts).model_set(impl));
-  }
-
-  struct Acc {
-    double delay_sum = 0.0;
-    std::size_t delay_count = 0;
-    double power_sum = 0.0;
-    std::size_t power_count = 0;
-    bool failed = false;  // any pin transient failed for this sample
-  };
-  std::vector<Acc> acc(num_samples);
-
-  spice::TransientOptions topt;
-  topt.t_stop = pin_probe_t_stop(ppa_opts);
-  topt.h_max = ppa_opts.h_max;
-  topt.newton = ppa_opts.newton;
-
-  for (std::size_t pin = 0; pin < input_names.size(); ++pin) {
-    const auto side = PpaEngine::sensitize(type, pin);
-    if (!side) {
-      MIVTX_WARN << cells::cell_name(type) << ": pin " << input_names[pin]
-                 << " cannot be sensitized";
-      continue;
-    }
-    trace::Span span("variability.pin_group", "variability",
-                     input_names[pin].c_str());
-
-    std::vector<cells::CellNetlist> cells_built;
-    cells_built.reserve(num_samples);
-    std::vector<const spice::Circuit*> corners;
-    corners.reserve(num_samples);
-    for (std::size_t s = 0; s < num_samples; ++s) {
-      cells_built.push_back(cells::build_cell(
-          type, impl, sets[s], ppa_opts.parasitics, ppa_opts.vdd));
-      apply_pin_stimulus(cells_built.back(), input_names, pin, *side,
-                         ppa_opts);
-      corners.push_back(&cells_built.back().circuit);
-    }
-
-    runtime::Metrics::global().add("variability.pin_groups");
-    const spice::CornerTransientResult group =
-        spice::corner_transient(corners, topt);
-    if (group.lockstep) ++lockstep_groups;
-
-    for (std::size_t s = 0; s < num_samples; ++s) {
-      const spice::TransientResult& tr = group.lanes[s];
-      if (!tr.ok) {
-        MIVTX_WARN << cells::cell_name(type) << "/" << cells::impl_name(impl)
-                   << " pin " << input_names[pin] << " sample " << s
-                   << ": transient failed: " << tr.error;
-        acc[s].failed = true;
-        continue;
-      }
-      const PinWaveMeasurement m = measure_pin_waveforms(
-          tr, cells_built[s], input_names[pin], ppa_opts);
-      for (const ArcMeasurement& arc : m.arcs) {
-        acc[s].delay_sum += arc.delay;
-        acc[s].delay_count += 1;
-      }
-      acc[s].power_sum += m.power;
-      acc[s].power_count += 1;
-    }
-  }
-
-  std::vector<std::optional<SampleResult>> out(num_samples);
-  for (std::size_t s = 0; s < num_samples; ++s) {
-    if (acc[s].failed || acc[s].delay_count == 0 || acc[s].power_count == 0)
-      continue;
-    out[s] = SampleResult{
-        acc[s].delay_sum / static_cast<double>(acc[s].delay_count),
-        acc[s].power_sum / static_cast<double>(acc[s].power_count)};
-  }
-  return out;
-}
-
 }  // namespace
 
 VariabilityStats run_variability(const ModelLibrary& library,
@@ -193,12 +93,9 @@ VariabilityStats run_variability(const ModelLibrary& library,
 
   // One cell measurement per Monte-Carlo sample; each sample owns an
   // independent split of the base stream, so its draws do not depend on
-  // which engine, worker, or lane runs it.
+  // which worker runs it.
   const std::vector<std::optional<SampleResult>> samples =
-      spec.engine == VariabilityEngine::kLanePacked
-          ? run_lane_packed(library, type, impl, spec, ppa_opts, base,
-                            stats.lockstep_groups)
-          : run_per_sample(library, type, impl, spec, ppa_opts, exec, base);
+      run_per_sample(library, type, impl, spec, ppa_opts, exec, base);
 
   // Ordered reduction: identical float accumulation for any pool size.
   double sum = 0.0, sum_sq = 0.0, sum_p = 0.0;

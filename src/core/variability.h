@@ -11,18 +11,6 @@
 
 namespace mivtx::core {
 
-// How the Monte-Carlo samples are scheduled onto the solver:
-//   kPerSample   — one full PpaEngine measurement per sample (thread-pool
-//                  fan-out; the reference path).
-//   kLanePacked  — all samples of each pin probe run as ONE lockstepped
-//                  spice::corner_transient, one sample per SIMD lane of
-//                  the batched BSIMSOI kernel.  Every sample satisfies the
-//                  same Newton/LTE tolerances on a shared (conservatively
-//                  finer) time grid, so the statistics agree with
-//                  kPerSample to well within sampling noise, at a fraction
-//                  of the device-evaluation cost.
-enum class VariabilityEngine { kPerSample, kLanePacked };
-
 struct VariationSpec {
   // 1-sigma local variation applied per sample (global, all devices of the
   // cell shifted together - the pessimistic correlated case).
@@ -30,7 +18,6 @@ struct VariationSpec {
   double sigma_u0_rel = 0.03; // relative mobility variation
   std::size_t samples = 25;
   std::uint64_t seed = 0x5eed;
-  VariabilityEngine engine = VariabilityEngine::kPerSample;
 };
 
 struct VariabilityStats {
@@ -41,9 +28,6 @@ struct VariabilityStats {
   double sigma_delay = 0.0;  // s
   double worst_delay = 0.0;  // s (max over samples)
   double mean_power = 0.0;   // W
-  // kLanePacked only: pin-probe groups that actually ran the lockstep
-  // lane-packed engine (vs its scalar per-lane fallback).
-  std::size_t lockstep_groups = 0;
 };
 
 // Sample-perturbed copies of a card (VTH0 shifted, U0 scaled).

@@ -70,10 +70,6 @@ class SparseLU {
   double refactor_pivot_tol = 1e-3;
 
  private:
-  // Lane-packed twin (batch_lu.h): adopts this object's pivot order and
-  // replay schedule for K same-pattern value lanes.
-  friend class BatchSparseLU;
-
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   void order_columns(const std::vector<std::size_t>& row_ptr,

@@ -85,24 +85,24 @@ std::optional<std::string> LineReader::read_line() {
 }
 
 Listener::Listener(const std::string& host, int port) {
+  const sockaddr_in addr = make_addr(host, port);
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   MIVTX_EXPECT(fd_ >= 0, "serve: socket() failed");
   const int one = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr = make_addr(host, port);
+  sockaddr_in bound{};
+  socklen_t len = sizeof bound;
+  // The destructor does not run when the constructor throws, so every
+  // failure after socket() closes the fd here.
   if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
           0 ||
-      ::listen(fd_, SOMAXCONN) != 0) {
+      ::listen(fd_, SOMAXCONN) != 0 ||
+      ::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
     const std::string why = std::strerror(errno);
-    close();
+    ::close(fd_);
     throw Error(format("serve: cannot listen on %s:%d: %s", host.c_str(),
                        port, why.c_str()));
   }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  MIVTX_EXPECT(::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound),
-                             &len) == 0,
-               "serve: getsockname() failed");
   port_ = ntohs(bound.sin_port);
 }
 
@@ -111,18 +111,17 @@ Socket Listener::accept() {
     const int fd = ::accept(fd_, nullptr, nullptr);
     if (fd >= 0) return Socket(fd);
     if (errno == EINTR) continue;
-    return Socket();  // listener closed (or fatal error): stop accepting
+    return Socket();  // listener shut down (or fatal error): stop accepting
   }
 }
 
-void Listener::close() {
-  if (fd_ >= 0) {
-    // shutdown() before close() reliably wakes a thread blocked in
-    // accept(); close() alone may leave it sleeping on some kernels.
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
-  }
+Listener::~Listener() { ::close(fd_); }
+
+void Listener::shutdown() {
+  // shutdown() reliably wakes a thread blocked in accept() (which then
+  // fails with EINVAL); close() alone may leave it sleeping on some
+  // kernels, and would race the fd against that thread.
+  ::shutdown(fd_, SHUT_RDWR);
 }
 
 Socket connect_to(const std::string& host, int port) {

@@ -4,7 +4,7 @@
 // daemon, not an internet service — so plain blocking sockets with one
 // reader thread per connection are the right complexity level.  Writes use
 // MSG_NOSIGNAL (a client hanging up must surface as a write error, never
-// SIGPIPE), and Listener::close() / Socket::shutdown_read() are the
+// SIGPIPE), and Listener::shutdown() / Socket::shutdown_read() are the
 // wake-up primitives the graceful-drain path uses to unblock accept() and
 // read() without resorting to signals or polling.
 #pragma once
@@ -61,17 +61,20 @@ class LineReader {
 class Listener {
  public:
   Listener(const std::string& host, int port);
-  ~Listener() { close(); }
+  ~Listener();
   Listener(const Listener&) = delete;
   Listener& operator=(const Listener&) = delete;
 
   int port() const { return port_; }
-  // Blocking accept; an invalid Socket means the listener was closed.
+  // Blocking accept; an invalid Socket means the listener was shut down.
   Socket accept();
-  // Close the listening fd; wakes a blocked accept().
-  void close();
+  // Stop listening and wake a blocked accept(); safe to call from any
+  // thread while another is inside accept().
+  void shutdown();
 
  private:
+  // Set once by the constructor and closed only by the destructor, so the
+  // accepting thread never reads it while another thread writes it.
   int fd_ = -1;
   int port_ = 0;
 };

@@ -62,7 +62,7 @@ void Server::begin_shutdown() {
     draining_ = true;
   }
   MIVTX_INFO << "serve: draining (queued work will complete)";
-  listener_.close();  // wakes the accept thread
+  listener_.shutdown();  // wakes the accept thread
   work_cv_.notify_all();
   drain_cv_.notify_all();
 }
@@ -107,7 +107,7 @@ std::size_t Server::queue_depth() const {
 void Server::accept_loop() {
   while (true) {
     Socket sock = listener_.accept();
-    if (!sock.valid()) return;  // listener closed: drain started
+    if (!sock.valid()) return;  // listener shut down: drain started
     auto conn = std::make_shared<Connection>(std::move(sock));
     std::lock_guard<std::mutex> lock(m_);
     conns_.insert(conn);

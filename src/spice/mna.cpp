@@ -23,7 +23,16 @@ struct CompanionCoeffs {
   double ihist = 0.0;  // history term
 };
 
-}  // namespace
+// Slot-independent companion-model coefficients of the active integrator:
+// a charge slot's companion current is i = geq * q - ihist with
+// ihist = c_prev * prev.q[slot] + c_prev2 * prev2.q[slot] +
+// c_iq * prev.iq[slot], and geq also scales the dq/dv Jacobian stamps.
+struct IntegratorCoeffs {
+  double geq = 0.0;
+  double c_prev = 0.0;
+  double c_prev2 = 0.0;
+  double c_iq = 0.0;
+};
 
 // Slot-independent part of the companion model.  The divisions here used
 // to run per charge slot per assembly; hoisting them to one evaluation per
@@ -55,6 +64,8 @@ IntegratorCoeffs integrator_coeffs(const AssemblyContext& ctx) {
   }
   return c;
 }
+
+}  // namespace
 
 std::size_t count_charge_slots(const Circuit& circuit) {
   std::size_t slots = 0;
@@ -102,7 +113,7 @@ std::size_t MosfetCache::batch_stage(const Circuit& circuit,
       ent.vs = vs;
       ent.valid = true;
     }
-    batch->stage(mi * batch_stride + batch_offset, vg, vd, vs);
+    batch->stage(mi, vg, vd, vs);
     evals += 1;
     (dynamic ? evals_tran : evals_dc) += 1;
     fresh += 1;
@@ -314,8 +325,7 @@ std::size_t assemble_impl(const Circuit& circuit, const linalg::Vector& x,
           // ran (and did the bypass/eval accounting); the kernel outputs —
           // staged fresh or retained from the last staging — are read back
           // here in stamp order.
-          mp = &cache->batch->output(mosfet_index * cache->batch_stride +
-                                     cache->batch_offset);
+          mp = &cache->batch->output(mosfet_index);
         } else if (cache && cache->enabled()) {
           MosfetCache::Entry& ent = cache->entries[mosfet_index];
           if (ent.valid && std::fabs(vg - ent.vg) <= cache->vtol &&

@@ -53,20 +53,6 @@ struct AssemblyContext {
 // Number of charge slots the circuit needs.
 std::size_t count_charge_slots(const Circuit& circuit);
 
-// Slot-independent companion-model coefficients of the active integrator:
-// a charge slot's companion current is i = geq * q - ihist with
-// ihist = c_prev * prev.q[slot] + c_prev2 * prev2.q[slot] +
-// c_iq * prev.iq[slot], and geq also scales the dq/dv Jacobian stamps.
-// Shared by the scalar assembler and the lane-packed corner assembler so
-// the two integrate identically.
-struct IntegratorCoeffs {
-  double geq = 0.0;
-  double c_prev = 0.0;
-  double c_prev2 = 0.0;
-  double c_iq = 0.0;
-};
-IntegratorCoeffs integrator_coeffs(const AssemblyContext& ctx);
-
 // Terminal-voltage device bypass: one entry per MOSFET (element order)
 // holding the controlling voltages and full model output of the last
 // fresh BSIMSOI evaluation.  When every terminal moved by at most `vtol`
@@ -95,13 +81,8 @@ struct MosfetCache {
   // assembler reads device outputs from it instead of calling
   // bsimsoi::eval per stamp; batch_stage() runs the bypass decisions and
   // stages the fresh instances before the caller fires one kernel pass
-  // over all of them.  Instance index of MOSFET i (element order) is
-  // i * batch_stride + batch_offset — cross-corner lane packing gives K
-  // same-topology circuits one shared batch with stride K and per-corner
-  // offsets, so the K corner lanes of a device are block-adjacent.
+  // over all of them.  Instance index of MOSFET i (element order) is i.
   bsimsoi::DeviceBatch* batch = nullptr;  // non-owning
-  std::size_t batch_stride = 1;
-  std::size_t batch_offset = 0;
   // Lane-occupancy accounting: real instances staged vs kLaneWidth *
   // blocks dispatched (tail blocks replicate lanes).
   std::uint64_t batch_evals = 0;   // kernel passes (DeviceBatch::eval calls)

@@ -1,9 +1,9 @@
 // Adaptive transient analysis.
 //
 // Method: DC operating point at t=0, one backward-Euler startup step, then
-// trapezoidal integration with a predictor-based local-truncation-error
-// controller.  Source slope discontinuities (pulse/PWL corners) are
-// breakpoints the stepper always lands on exactly.
+// variable-step BDF2 integration with a predictor-based
+// local-truncation-error controller.  Source slope discontinuities
+// (pulse/PWL corners) are breakpoints the stepper always lands on exactly.
 #pragma once
 
 #include <map>
@@ -49,8 +49,7 @@ TransientResult transient(const Circuit& circuit,
 
 // Source-slope breakpoints of every independent source up to t_stop
 // (sorted, coalesced, t_stop appended).  The adaptive stepper lands on
-// these exactly; the lane-packed corner engine (spice/corner.h) steps on
-// the union across its lanes.
+// these exactly.
 std::vector<double> transient_breakpoints(const Circuit& circuit,
                                           double t_stop);
 
@@ -58,10 +57,9 @@ std::vector<double> transient_breakpoints(const Circuit& circuit,
 // absolute floor of 1e-18 s near t=0 widening to a few ULP of t beyond
 // ~0.1 ms.  A purely absolute epsilon breaks at large t — one ULP of 4 ms
 // is already ~9e-19 s, so breakpoints that differ only by accumulated
-// round-off (e.g. per-lane `delay + period * k` sums in the corner
-// engine's breakpoint union) would survive dedup and force a sub-h_min
-// landing step.  Both steppers use this for coalescing, skip-past, and
-// landing checks.
+// round-off (e.g. `delay + period * k` sums of two sources) would survive
+// dedup and force a sub-h_min landing step.  The stepper uses this for
+// coalescing, skip-past, and landing checks.
 double breakpoint_tol(double t);
 
 // Sort and coalesce: clusters closer than breakpoint_tol collapse to

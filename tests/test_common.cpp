@@ -49,6 +49,12 @@ struct SpiceNumberCase {
   double expected;
 };
 
+// Names the case by its text and value; gtest's default byte dump would put
+// the address of `text` into the test name, which differs on every run.
+void PrintTo(const SpiceNumberCase& c, std::ostream* os) {
+  *os << '"' << c.text << "\" = " << c.expected;
+}
+
 class SpiceNumberTest : public ::testing::TestWithParam<SpiceNumberCase> {};
 
 TEST_P(SpiceNumberTest, Parses) {

@@ -205,42 +205,6 @@ TEST(Variability, SmallRunProducesSaneStatistics) {
   EXPECT_DOUBLE_EQ(s.sigma_delay, again.sigma_delay);
 }
 
-TEST(Variability, LanePackedEngineMatchesPerSample) {
-  // Same seed, same counter-based RNG splits: both engines simulate
-  // identical sampled circuits, differing only in time-step scheduling
-  // (the lane-packed engine locksteps all samples on a shared grid), so
-  // the statistics must agree to within the solver's LTE budget.
-  core::VariationSpec spec;
-  spec.samples = 6;
-  const VariabilityStats per_sample =
-      run_variability(reference_model_library(), cells::CellType::kNand2,
-                      cells::Implementation::kMiv2Channel, spec);
-  spec.engine = VariabilityEngine::kLanePacked;
-  const VariabilityStats packed =
-      run_variability(reference_model_library(), cells::CellType::kNand2,
-                      cells::Implementation::kMiv2Channel, spec);
-
-  EXPECT_EQ(packed.samples, per_sample.samples);
-  // Every pin probe actually ran the lockstep engine (2 input pins).
-  EXPECT_EQ(packed.lockstep_groups, 2u);
-  EXPECT_EQ(per_sample.lockstep_groups, 0u);
-  EXPECT_NEAR(packed.mean_delay, per_sample.mean_delay,
-              5e-3 * per_sample.mean_delay);
-  EXPECT_NEAR(packed.worst_delay, per_sample.worst_delay,
-              5e-3 * per_sample.worst_delay);
-  EXPECT_NEAR(packed.mean_power, per_sample.mean_power,
-              5e-3 * std::fabs(per_sample.mean_power));
-  // The spread is a difference of nearby delays: give it more head room.
-  EXPECT_NEAR(packed.sigma_delay, per_sample.sigma_delay,
-              0.1 * per_sample.sigma_delay);
-  // Deterministic under the same seed.
-  const VariabilityStats again =
-      run_variability(reference_model_library(), cells::CellType::kNand2,
-                      cells::Implementation::kMiv2Channel, spec);
-  EXPECT_DOUBLE_EQ(packed.mean_delay, again.mean_delay);
-  EXPECT_DOUBLE_EQ(packed.sigma_delay, again.sigma_delay);
-}
-
 TEST(Liberty, ExportIsStructurallySound) {
   // Build a cheap synthetic timing model (no transient runs needed).
   gatelevel::TimingModel timing;

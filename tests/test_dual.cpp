@@ -23,6 +23,12 @@ struct UnaryCase {
   double x;
 };
 
+// Keeps the address of `name` (gtest's default byte dump) out of the test
+// name, which would otherwise differ on every run.
+void PrintTo(const UnaryCase& c, std::ostream* os) {
+  *os << c.name << " at x=" << c.x;
+}
+
 class DualUnaryTest : public ::testing::TestWithParam<UnaryCase> {};
 
 TEST_P(DualUnaryTest, MatchesFiniteDifference) {

@@ -521,7 +521,7 @@ TEST(ServeServer, DrainCompletesAdmittedWorkAndRejectsNew) {
   }));
 
   // Connect the late client now — once the drain starts the listener is
-  // closed, so only an already-open connection can observe "draining".
+  // shut down, so only an already-open connection can observe "draining".
   serve::Client late("127.0.0.1", server.port());
 
   // Drain starts while A is mid-computation...

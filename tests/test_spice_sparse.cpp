@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "core/ppa.h"
 #include "core/reference_cards.h"
-#include "linalg/batch_lu.h"
 #include "linalg/dense.h"
 #include "linalg/sparse_lu.h"
 #include "runtime/metrics.h"
@@ -130,140 +129,6 @@ TEST(SparseLU, SingularReportsFailure) {
   lu.analyze(s.n, s.row_ptr, s.col_idx);
   EXPECT_FALSE(lu.factorize(s.values));
   EXPECT_FALSE(lu.factorized());
-}
-
-// ---------------------------------------------------------------------------
-// Lane-packed LU (BatchSparseLU) vs per-lane scalar.
-
-// K perturbed copies of a base system packed lane-minor, pads replicating
-// lane 0 the way the corner engine fills them.
-std::vector<double> pack_lanes(const std::vector<std::vector<double>>& lanes,
-                               std::size_t stride) {
-  const std::size_t nnz = lanes[0].size();
-  std::vector<double> soa(nnz * stride);
-  for (std::size_t e = 0; e < nnz; ++e)
-    for (std::size_t j = 0; j < stride; ++j)
-      soa[e * stride + j] = lanes[j < lanes.size() ? j : 0][e];
-  return soa;
-}
-
-TEST(BatchSparseLU, MatchesPerLaneDense) {
-  const std::size_t n = 17, kLanes = 5;  // 5 lanes -> stride 8, one pad block
-  const CsrSystem base = random_system(n, 21);
-  linalg::SparseLU ref;
-  ref.analyze(n, base.row_ptr, base.col_idx);
-  ASSERT_TRUE(ref.factorize(base.values));
-
-  std::vector<std::vector<double>> lanes(kLanes, base.values);
-  Rng rng(77);
-  for (std::size_t j = 1; j < kLanes; ++j)
-    for (double& v : lanes[j]) v += 0.02 * rng.uniform(-1, 1);
-
-  linalg::BatchSparseLU batch;
-  batch.bind(ref, kLanes, true);
-  ASSERT_EQ(batch.stride(), 8u);
-  const std::size_t stride = batch.stride();
-  const std::vector<double> soa = pack_lanes(lanes, stride);
-  std::vector<unsigned char> ok(stride, 0);
-  ASSERT_TRUE(batch.refactorize(soa.data(), ok.data()));
-
-  std::vector<double> b(n * stride);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < stride; ++j)
-      b[i * stride + j] = std::sin(double(i) + 0.3 * double(j) + 1.0);
-  std::vector<double> rhs = b;
-  batch.solve(b.data());
-
-  for (std::size_t j = 0; j < kLanes; ++j) {
-    CsrSystem s = base;
-    s.values = lanes[j];
-    linalg::Vector bj(n);
-    for (std::size_t i = 0; i < n; ++i) bj[i] = rhs[i * stride + j];
-    const linalg::Vector xd = linalg::DenseLU(densify(s)).solve(bj);
-    double diff = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      diff = std::max(diff, std::fabs(b[i * stride + j] - xd[i]));
-    EXPECT_LT(diff, 1e-9) << "lane " << j;
-  }
-}
-
-TEST(BatchSparseLU, FlagsDegradedLaneOthersUnaffected) {
-  const std::size_t n = 12, kLanes = 4;
-  const CsrSystem base = random_system(n, 3);
-  linalg::SparseLU ref;
-  ref.analyze(n, base.row_ptr, base.col_idx);
-  ASSERT_TRUE(ref.factorize(base.values));
-
-  // Collapse lane 1's row-5 diagonal exactly like the scalar degradation
-  // test; the batch verdict for that lane must match scalar refactorize.
-  std::vector<std::vector<double>> lanes(kLanes, base.values);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t p = base.row_ptr[r]; p < base.row_ptr[r + 1]; ++p)
-      if (base.col_idx[p] == r && r == 5) lanes[1][p] = 1e-14;
-
-  linalg::SparseLU scalar;
-  scalar.analyze(n, base.row_ptr, base.col_idx);
-  ASSERT_TRUE(scalar.factorize(base.values));
-  const bool scalar_accepts = scalar.refactorize(lanes[1]);
-
-  linalg::BatchSparseLU batch;
-  batch.bind(ref, kLanes, true);
-  const std::size_t stride = batch.stride();
-  const std::vector<double> soa = pack_lanes(lanes, stride);
-  std::vector<unsigned char> ok(stride, 0);
-  const bool all = batch.refactorize(soa.data(), ok.data());
-  EXPECT_EQ(all, scalar_accepts);
-  EXPECT_EQ(ok[1] != 0, scalar_accepts);
-  EXPECT_NE(ok[0], 0);
-  EXPECT_NE(ok[2], 0);
-  EXPECT_NE(ok[3], 0);
-
-  // Healthy lanes still solve to the dense answer.
-  std::vector<double> b(n * stride, 1.0);
-  batch.solve(b.data());
-  for (const std::size_t j : {std::size_t{0}, std::size_t{2}}) {
-    CsrSystem s = base;
-    s.values = lanes[j];
-    linalg::Vector bj(n, 1.0);
-    const linalg::Vector xd = linalg::DenseLU(densify(s)).solve(bj);
-    double diff = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      diff = std::max(diff, std::fabs(b[i * stride + j] - xd[i]));
-    EXPECT_LT(diff, 1e-9) << "lane " << j;
-  }
-}
-
-TEST(BatchSparseLU, PortableAndSimdKernelsAgree) {
-  if (!linalg::batchlu::avx2_compiled() || !linalg::batchlu::cpu_has_avx2())
-    GTEST_SKIP() << "AVX2 lane-packed LU not available";
-  const std::size_t n = 24, kLanes = 8;
-  const CsrSystem base = random_system(n, 55);
-  linalg::SparseLU ref;
-  ref.analyze(n, base.row_ptr, base.col_idx);
-  ASSERT_TRUE(ref.factorize(base.values));
-  std::vector<std::vector<double>> lanes(kLanes, base.values);
-  Rng rng(13);
-  for (std::size_t j = 0; j < kLanes; ++j)
-    for (double& v : lanes[j]) v += 0.01 * rng.uniform(-1, 1);
-  const std::vector<double> soa = pack_lanes(lanes, kLanes);
-
-  linalg::BatchSparseLU portable, simd;
-  portable.bind(ref, kLanes, false);
-  simd.bind(ref, kLanes, true);
-  ASSERT_FALSE(portable.simd_active());
-  ASSERT_TRUE(simd.simd_active());
-  std::vector<unsigned char> ok_p(kLanes, 0), ok_s(kLanes, 0);
-  ASSERT_TRUE(portable.refactorize(soa.data(), ok_p.data()));
-  ASSERT_TRUE(simd.refactorize(soa.data(), ok_s.data()));
-  std::vector<double> bp(n * kLanes), bs;
-  for (std::size_t i = 0; i < bp.size(); ++i)
-    bp[i] = std::cos(0.1 * double(i));
-  bs = bp;
-  portable.solve(bp.data());
-  simd.solve(bs.data());
-  // FMA contraction separates the two kernels by rounding only.
-  for (std::size_t i = 0; i < bp.size(); ++i)
-    EXPECT_NEAR(bp[i], bs[i], 1e-12 * (1.0 + std::fabs(bp[i]))) << "slot " << i;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 // Transient analysis: integrator accuracy against analytic RC solutions,
-// breakpoint handling, stiff-parasitic robustness (BDF2 regression), and
-// cell-level delay sanity.
+// breakpoint handling and coalescing, stiff-parasitic robustness (BDF2
+// regression), and cell-level delay sanity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "bsimsoi/params.h"
 #include "common/error.h"
@@ -219,6 +220,23 @@ TEST(Transient, StepBudgetGuards) {
   const TransientResult tr = transient(ckt, opts);
   EXPECT_FALSE(tr.ok);
   EXPECT_NE(tr.error.find("budget"), std::string::npos);
+}
+
+TEST(Transient, CoalesceBreakpointsMergesUlpClusters) {
+  // Absolute floor near t=0: distinct sub-1e-18 times collapse...
+  std::vector<double> bp{0.0, 5e-19, 1e-12, 4e-3};
+  // ...and at 4 ms a 4-ULP alias collapses too, keeping the largest.
+  double alias = 4e-3;
+  for (int k = 0; k < 4; ++k) alias = std::nextafter(alias, 1.0);
+  bp.push_back(alias);
+  coalesce_breakpoints(bp);
+  ASSERT_EQ(bp.size(), 3u);
+  EXPECT_DOUBLE_EQ(bp[0], 5e-19);
+  EXPECT_DOUBLE_EQ(bp[1], 1e-12);
+  EXPECT_DOUBLE_EQ(bp[2], alias);
+  // Far-apart points never merge: tol stays a vanishing fraction of t.
+  EXPECT_LT(breakpoint_tol(4e-3), 1e-17);
+  EXPECT_GE(breakpoint_tol(0.0), 1e-18);
 }
 
 }  // namespace
